@@ -191,6 +191,19 @@ class TupleId:
             object.__setattr__(self, "_hash_key", cached)
         return cached
 
+    def __hash__(self) -> int:
+        """The dataclass field hash, computed once per instance.
+
+        Tuple IDs key the stores' dicts and sets on every publish, lookup and
+        scan.  The value is exactly the generated ``hash((key_values, epoch,
+        partition_width))``, so set and dict iteration orders are unchanged.
+        """
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.key_values, self.epoch, self.partition_width))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def with_epoch(self, epoch: int) -> "TupleId":
         return TupleId(self.key_values, epoch, self.partition_width)
 

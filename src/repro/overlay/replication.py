@@ -22,18 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from ..common.hashing import sha1_key
-from .routing import RoutingSnapshot, physical_address
+from .routing import RoutingSnapshot
 
 
 def replica_set(snapshot: RoutingSnapshot, key: int, replication_factor: int) -> list[str]:
     """Physical addresses that should hold a copy of the item at ``key``."""
-    entries = snapshot.replicas_for_key(key, replication_factor)
-    result: list[str] = []
-    for entry in entries:
-        address = physical_address(entry)
-        if address not in result:
-            result.append(address)
-    return result
+    return snapshot.replica_addresses(snapshot.owner_of(key), replication_factor)
 
 
 class BloomFilter:
@@ -128,15 +122,10 @@ class BackgroundReplicator:
         """
         report = ReplicationReport(rounds=1)
         for entry in snapshot.nodes:
-            owner = physical_address(entry)
             owner_range = snapshot.range_of(entry)
             if owner_range.is_empty():
                 continue
-            group = [owner]
-            for replica in snapshot.replicas_for_owner(entry, self.replication_factor):
-                address = physical_address(replica)
-                if address not in group:
-                    group.append(address)
+            group = snapshot.replica_addresses(entry, self.replication_factor)
 
             holdings = {member: self._list_items(member, owner_range) for member in group}
             summaries: dict[str, BloomFilter] = {}

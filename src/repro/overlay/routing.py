@@ -65,6 +65,7 @@ class RoutingSnapshot:
         self._node_index = {address: i for i, address in enumerate(self._nodes)}
         self._neighbour_cache: dict[tuple[str, int, bool], list[str]] = {}
         self._replica_cache: dict[tuple[str, int], list[str]] = {}
+        self._replica_address_cache: dict[tuple[str, int], list[str]] = {}
         self._physical_cache: tuple[str, ...] | None = None
 
     # -- basic accessors --------------------------------------------------------
@@ -215,6 +216,22 @@ class RoutingSnapshot:
         replicas = replicas[:replication_factor]
         self._replica_cache[cache_key] = replicas
         return list(replicas)
+
+    def replica_addresses(self, owner: str, replication_factor: int) -> list[str]:
+        """Distinct physical addresses of :meth:`replicas_for_owner`, in order.
+
+        Synthetic ``addr#k`` entries collapse onto their node, the first
+        occurrence winning.  Memoised: a publish asks once per tuple.
+        """
+        cache_key = (owner, replication_factor)
+        cached = self._replica_address_cache.get(cache_key)
+        if cached is None:
+            cached = list(dict.fromkeys(
+                physical_address(entry)
+                for entry in self.replicas_for_owner(owner, replication_factor)
+            ))
+            self._replica_address_cache[cache_key] = cached
+        return list(cached)
 
     # -- deriving new snapshots --------------------------------------------------
 

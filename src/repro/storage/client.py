@@ -49,6 +49,7 @@ from .pages import (
     choose_page_count,
     coordinator_key,
     initial_page_layout,
+    page_order,
 )
 from .service import INDEX_SCAN_COST_PER_ID, StorageService
 
@@ -103,13 +104,11 @@ def search_targets(
     replication catches up — the paper's "proactively try to retrieve the
     missing state from other nearby nodes" fallback (Section IV).
     """
-    excluded = set(exclude)
+    seen = set(exclude)
     ordered = [addr for addr in replica_set(snapshot, key, replication_factor)
-               if addr not in excluded]
-    for entry in snapshot.nodes:
-        address = physical_address(entry)
-        if address not in ordered and address not in excluded:
-            ordered.append(address)
+               if addr not in seen]
+    seen.update(ordered)
+    ordered.extend(addr for addr in snapshot.physical_nodes() if addr not in seen)
     return ordered
 
 
@@ -561,10 +560,6 @@ class _PublishOperation:
         *all* live nodes of the snapshot — the paper's "search other nodes
         nearby in the system until it found a copy" rule.
         """
-        targets = search_targets(
-            self.snapshot, ref.storage_key, self.client.replication_factor,
-            exclude=(self.client.node.address,),
-        )
         local = self.client.node.services.get("storage")
         if local is not None:
             page = local.local_or_cached_page(ref.page_id)
@@ -573,6 +568,10 @@ class _PublishOperation:
                 completion.done()
                 return
 
+        targets = search_targets(
+            self.snapshot, ref.storage_key, self.client.replication_factor,
+            exclude=(self.client.node.address,),
+        )
         resilience = self.client.node.services.get("resilience")
         if resilience is not None:
             resilience.chase_call(
@@ -627,17 +626,17 @@ class _PublishOperation:
             len(self.batch.inserts), len(self.snapshot.nodes), self.client.page_capacity
         )
         layout = initial_page_layout(self.relation, self.epoch, num_pages)
+        # The layout tiles the ring, so the record's bisect finds each
+        # tuple's page in O(log pages).
+        placement = CoordinatorRecord(self.relation, self.epoch, layout)
         pages = {ref.page_id: IndexPage(ref, []) for ref in layout}
         new_tuples: list[VersionedTuple] = []
         for values in self.batch.inserts:
             tid = schema.tuple_id_for(values, self.epoch)
             new_tuples.append(VersionedTuple(self.relation, tid, values))
-            for ref in layout:
-                if ref.hash_range.contains(tid.hash_key):
-                    pages[ref.page_id].tuple_ids.append(tid)
-                    break
+            pages[placement.page_for_hash(tid.hash_key).page_id].tuple_ids.append(tid)
         for page in pages.values():
-            page.tuple_ids.sort(key=lambda tid: (tid.hash_key, tid.epoch))
+            page.tuple_ids.sort(key=page_order)
         self._write_version(list(layout), list(pages.values()), new_tuples)
 
     def _build_incremental_version(self, affected: Sequence[PageRef]) -> None:

@@ -21,7 +21,7 @@ property the paper borrows from CFS and log-structured filesystems.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -69,9 +69,17 @@ class PageRef:
         return 64  # page id + two 160-bit range bounds + framing
 
 
+def page_order(tid: TupleId) -> tuple[int, int]:
+    """Sort key of the tuple IDs on an index page: hash key, then epoch."""
+    return (tid.hash_key, tid.epoch)
+
+
 @dataclass
 class IndexPage:
-    """One version of an index page: the tuple IDs live in its hash range."""
+    """One version of an index page: the tuple IDs live in its hash range.
+
+    ``tuple_ids`` is kept sorted by :func:`page_order`.
+    """
 
     ref: PageRef
     tuple_ids: list[TupleId] = field(default_factory=list)
@@ -110,8 +118,12 @@ class IndexPage:
         """
         removal_set = set(removals)
         kept = [tid for tid in self.tuple_ids if tid not in removal_set]
-        kept.extend(inserts)
-        kept.sort(key=lambda tid: (tid.hash_key, tid.epoch))
+        # The kept IDs are already in page order and a version changes few
+        # of them, so bisect the inserts in rather than re-sorting the page.
+        # Inserting to the right of equal keys keeps the stable-sort order:
+        # kept IDs before inserts, inserts in batch order.
+        for tid in inserts:
+            insort_right(kept, tid, key=page_order)
         new_ref = PageRef(
             PageId(self.page_id.relation, new_epoch, sequence), self.hash_range
         )

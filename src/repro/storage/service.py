@@ -27,7 +27,7 @@ nearby in the system until it found a copy" behaviour.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from ..common.types import TupleId, VersionedTuple
 from ..net.simnet import SimNode
@@ -66,9 +66,6 @@ class StorageService:
         #: re-verifies it; a mismatch quarantines the local copy so the
         #: caller's replica-failover path read-repairs it transparently.
         self.integrity = integrity
-        #: Local observers notified when tuples are written (used by tests and
-        #: by the background replicator's bookkeeping).
-        self._write_listeners: list[Callable[[VersionedTuple], None]] = []
         self._register_handlers()
         node.services["storage"] = self
 
@@ -86,9 +83,6 @@ class StorageService:
         self.rpc.register("store.get_tuples", self._on_get_tuples)
         self.rpc.register("store.put_inverse", self._on_put_inverse)
         self.rpc.register("store.get_inverse", self._on_get_inverse)
-
-    def add_write_listener(self, listener: Callable[[VersionedTuple], None]) -> None:
-        self._write_listeners.append(listener)
 
     # -------------------------------------------------------------- integrity
 
@@ -194,20 +188,12 @@ class StorageService:
 
     def _on_put_tuples(self, _src: str, payload: Mapping[str, object], respond) -> None:
         tuples: Iterable[VersionedTuple] = payload["tuples"]
-        total = 0
         count = 0
         for tup in tuples:
-            self.store.put(
-                _TUPLE_TREE,
-                (tup.relation, tup.hash_key, tup.tuple_id),
-                tup,
-                size=tup.estimated_size(),
-            )
-            self._record_checksum(_TUPLE_TREE, (tup.relation, tup.hash_key, tup.tuple_id), tup)
-            total += tup.estimated_size()
+            key = (tup.relation, tup.hash_key, tup.tuple_id)
+            self.store.put(_TUPLE_TREE, key, tup, size=tup.estimated_size())
+            self._record_checksum(_TUPLE_TREE, key, tup)
             count += 1
-            for listener in self._write_listeners:
-                listener(tup)
         self.node.charge_cpu(INSERT_COST_PER_TUPLE * count)
         self.node.charge_disk_read(0)  # writes are asynchronous in the prototype
         respond({"ok": True, "count": count}, size=16)

@@ -81,6 +81,18 @@ class TestTupleId:
     def test_repr_shows_key_and_epoch(self):
         assert "@ 1" in repr(TupleId(("f",), 1))
 
+    @pytest.mark.parametrize(
+        "key_values, epoch, width",
+        [(("a",), 0, 0), (("a", 2), 3, 1), (("a", 2, None), 7, 2), ((1.5, "x"), 1, 9)],
+    )
+    def test_hash_is_the_field_tuple_hash(self, key_values, epoch, width):
+        # Set and dict orders of tuple IDs depend on this exact value.
+        tid = TupleId(key_values, epoch, width)
+        expected = hash((tid.key_values, tid.epoch, tid.partition_width))
+        assert hash(tid) == expected
+        assert hash(tid) == expected  # the cached value
+        assert hash(TupleId(key_values, epoch, width)) == expected
+
 
 class TestVersionedTuple:
     def test_fields(self):

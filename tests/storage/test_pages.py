@@ -13,6 +13,7 @@ from repro.storage.pages import (
     coordinator_key,
     initial_page_layout,
     inverse_key,
+    page_order,
 )
 
 
@@ -107,6 +108,32 @@ class TestIndexPage:
         updated = page.with_changes(2, 0, inserts=new_ids)
         hashes = [tid.hash_key for tid in updated.tuple_ids]
         assert hashes == sorted(hashes)
+
+    def test_with_changes_tie_order(self):
+        # Partitioning on the first of two key values gives equal (hash_key,
+        # epoch) to every ID below: kept IDs stay ahead of inserts, and the
+        # inserts keep their batch order, exactly as a stable sort would.
+        (ref,) = initial_page_layout("R", 1, 1)
+        kept = [TupleId(("p", i), 2, partition_width=1) for i in (4, 1, 3)]
+        other = TupleId(("q", 0), 2, partition_width=1)
+        page = IndexPage(ref, sorted(kept + [other], key=page_order))
+        inserts = [TupleId(("p", i), 2, partition_width=1) for i in (9, 0, 5)]
+        updated = page.with_changes(3, 0, inserts=inserts, removals=[kept[1]])
+        survivors = [kept[0], kept[2]]
+        assert [tid for tid in updated.tuple_ids if tid != other] == survivors + inserts
+        assert updated.tuple_ids == sorted(
+            [tid for tid in page.tuple_ids if tid != kept[1]] + inserts, key=page_order
+        )
+
+    def test_with_changes_matches_full_sort(self):
+        (ref,) = initial_page_layout("R", 1, 1)
+        ids = [TupleId((f"k{i % 7}", i), i % 3, partition_width=1) for i in range(40)]
+        page = IndexPage(ref, sorted(ids, key=page_order))
+        inserts = [TupleId((f"k{i % 9}", 100 + i), 2, partition_width=1) for i in range(12)]
+        removals = ids[::5]
+        updated = page.with_changes(4, 0, inserts=inserts, removals=removals)
+        kept = [tid for tid in page.tuple_ids if tid not in set(removals)]
+        assert updated.tuple_ids == sorted(kept + inserts, key=page_order)
 
 
 class TestCoordinatorRecord:
