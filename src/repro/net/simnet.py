@@ -527,9 +527,6 @@ class Network:
             event.action()
         return self.now
 
-    def pending_events(self) -> int:
-        return sum(1 for event in self._queue if not event.cancelled)
-
     # -- messaging -------------------------------------------------------------
 
     def send(

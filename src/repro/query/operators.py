@@ -959,10 +959,6 @@ class ExchangeReceiver(RuntimeOperator):
         self.finished = True
         self.emit_eos()
 
-    def sender_failed(self, address: str) -> None:
-        """A sender failed: it will never send EOS, stop waiting for it."""
-        self._check_done()
-
     def reset_for_phase(self, phase: int) -> None:
         super().reset_for_phase(phase)
         self._expected_senders = {

@@ -33,7 +33,7 @@ from ..net.simnet import SimNode
 from ..net.transport import RpcEndpoint, rpc_endpoint
 from ..overlay.membership import MembershipView
 from ..overlay.routing import RoutingSnapshot, physical_address
-from ..storage.client import StorageClient
+from ..storage.client import StorageClient, chase, owner_router, search_targets
 from ..storage.pages import CoordinatorRecord, PageRef
 from ..storage.service import StorageService
 from .operators import Fragment, build_fragment
@@ -674,12 +674,6 @@ class _NodeQueryContext:
         if not pending:
             self._complete_scan(scan_op_id)
 
-    def drop_failed_scan_producers(self, failed: set[str]) -> None:
-        for scan_op_id, pending in self._pending_scan_done.items():
-            pending -= {token for token in pending if token[0] in failed}
-            if not pending:
-                self._complete_scan(scan_op_id)
-
     def begin_scan_fetch(self, scan_op_id: int) -> None:
         self._scan_fetches[scan_op_id] = self._scan_fetches.get(scan_op_id, 0) + 1
 
@@ -1052,6 +1046,7 @@ class QueryService:
         # Assign every index page of every scanned relation to its owner under
         # the launch snapshot; these assignments drive the leaf scans.
         scan_specs: dict[int, _ScanSpec] = {}
+        route = owner_router(self.node, snapshot, self.replication_factor)
         for scan in plan.scans():
             record, resolved_epoch = scan_records[scan.op_id]
             # Page pruning: a page whose hash range contains none of the
@@ -1061,22 +1056,9 @@ class QueryService:
             refs, pruned = prune_page_refs(record.pages, scan.prune_hashes)
             statistics.scan_pages_total += len(record.pages)
             statistics.scan_pages_pruned += pruned
-            resilience = self.node.services.get("resilience")
             pages_by_node: dict[str, list[PageRef]] = {}
             for ref in refs:
-                if resilience is None:
-                    owner = physical_address(snapshot.owner_of(ref.storage_key))
-                else:
-                    # Any page replica can run the leaf scan (participants
-                    # chase pages they lack), so route around suspected
-                    # owners; with every replica healthy this is exactly the
-                    # primary-owner assignment.
-                    from ..overlay.replication import replica_set
-
-                    owner = resilience.select_target(
-                        replica_set(snapshot, ref.storage_key, self.replication_factor)
-                    )
-                pages_by_node.setdefault(owner, []).append(ref)
+                pages_by_node.setdefault(route(ref.storage_key), []).append(ref)
             scan_specs[scan.op_id] = _ScanSpec(
                 scan_op_id=scan.op_id,
                 relation=scan.schema.name,
@@ -1265,13 +1247,6 @@ class QueryService:
         if page is None:
             # Fetch the page from a replica before scanning it (the ring may
             # have moved since the page was written).
-            from ..storage.client import search_targets
-
-            targets = search_targets(
-                context.snapshot, ref.storage_key, self.replication_factor,
-                exclude=(self.node.address,),
-            )
-
             def fetched(rep) -> None:
                 # Keep the immutable page version for the next query that
                 # scans it here (the ring will not move back on its own).
@@ -1279,44 +1254,27 @@ class QueryService:
                     self.storage.cache.put_page(rep["page"])
                 self._scan_page_contents(context, spec, rep["page"], restrict_ranges, done)
 
-            def attempt(index: int) -> None:
-                if index >= len(targets):
-                    # No reachable node can produce this page right now (its
-                    # holders are down or unreachable): rows would silently
-                    # vanish from the answer.  Tell the initiator, which
-                    # restarts the query against a fresh snapshot.
-                    self.rpc.cast(
-                        context.initiator(), "query.scan_failed",
-                        {"query_id": context.query_id, "page_id": ref.page_id}, 24,
-                    )
-                    done()
-                    return
-                self.rpc.call(
-                    targets[index], "store.get_page", {"page_id": ref.page_id}, 32,
-                    on_reply=lambda rep: fetched(rep)
-                    if not rep.get("missing") else attempt(index + 1),
-                    on_failure=lambda _addr: attempt(index + 1),
+            def unavailable() -> None:
+                # No reachable node can produce this page right now (its
+                # holders are down or unreachable): rows would silently
+                # vanish from the answer.  Tell the initiator, which
+                # restarts the query against a fresh snapshot.
+                self.rpc.cast(
+                    context.initiator(), "query.scan_failed",
+                    {"query_id": context.query_id, "page_id": ref.page_id}, 24,
                 )
+                done()
 
-            resilience = self.node.services.get("resilience")
-            if resilience is not None:
-                def unavailable() -> None:
-                    self.rpc.cast(
-                        context.initiator(), "query.scan_failed",
-                        {"query_id": context.query_id, "page_id": ref.page_id}, 24,
-                    )
-                    done()
-
-                resilience.chase_call(
-                    targets, "store.get_page", {"page_id": ref.page_id}, 32,
-                    accept=lambda _src, rep: (
-                        False if rep.get("missing") else (fetched(rep) or True)
-                    ),
-                    on_exhausted=unavailable,
-                )
-                return
-
-            attempt(0)
+            chase(
+                self.node,
+                search_targets(context.snapshot, ref.storage_key, self.replication_factor,
+                               exclude=(self.node.address,)),
+                "store.get_page", {"page_id": ref.page_id}, 32,
+                accept=lambda _src, rep: (
+                    False if rep.get("missing") else (fetched(rep) or True)
+                ),
+                on_exhausted=unavailable,
+            )
             return
         self._scan_page_contents(context, spec, page, restrict_ranges, done)
 
@@ -1338,21 +1296,10 @@ class QueryService:
                 source.deliver_key_rows(matching)
             done()
             return
-        resilience = self.node.services.get("resilience")
+        route = owner_router(self.node, context.snapshot, self.replication_factor)
         by_data_node: dict[str, list] = {}
         for tid in matching:
-            if resilience is None:
-                owner = physical_address(context.snapshot.owner_of(tid.hash_key))
-            else:
-                # Same health-aware replica choice as the page assignment:
-                # the data-node handler recovers tuple versions it lacks, so
-                # any healthy replica is a valid destination.
-                from ..overlay.replication import replica_set
-
-                owner = resilience.select_target(
-                    replica_set(context.snapshot, tid.hash_key, self.replication_factor)
-                )
-            by_data_node.setdefault(owner, []).append(tid)
+            by_data_node.setdefault(route(tid.hash_key), []).append(tid)
         for data_node, tids in by_data_node.items():
             self.rpc.cast(
                 data_node, "query.scan_tuples",
@@ -1385,76 +1332,41 @@ class QueryService:
         # as Algorithm-1 retrieval does — dropping them would silently lose
         # rows from the answer.  A version found on no live node aborts the
         # query attempt through the initiator (scan_failed → restart).
-        from ..storage.client import search_targets
-
         phase = context.phase
-        resilience = self.node.services.get("resilience")
+
+        def superseded() -> bool:
+            return context.phase != phase  # recovery superseded these chases
+
         for tid in missing:
             context.begin_scan_fetch(scan_op_id)
-            replicas = search_targets(
-                context.snapshot, tid.hash_key, self.replication_factor,
-                exclude=(self.node.address,),
-            )
 
-            if resilience is not None:
+            def accept(_src, reply, tid=tid) -> bool:
+                if superseded():
+                    return True  # consume silently
+                fetched = [t for t in reply.get("tuples", []) if t.tuple_id == tid]
+                if not fetched:
+                    return False
+                self.storage.store_tuple(fetched[0])
+                source.deliver_tuples(fetched)
+                context.end_scan_fetch(scan_op_id)
+                return True
 
-                def accept(_src, reply, tid=tid) -> bool:
-                    if context.phase != phase:
-                        return True  # superseded: consume silently
-                    fetched = [t for t in reply.get("tuples", []) if t.tuple_id == tid]
-                    if not fetched:
-                        return False
-                    self.storage.store_tuple(fetched[0])
-                    source.deliver_tuples(fetched)
-                    context.end_scan_fetch(scan_op_id)
-                    return True
-
-                def exhausted(tid=tid) -> None:
-                    if context.phase != phase:
-                        return
-                    self.rpc.cast(
-                        context.initiator(), "query.scan_failed",
-                        {"query_id": context.query_id, "tuple_id": tid}, 24,
-                    )
-                    context.end_scan_fetch(scan_op_id)
-
-                resilience.chase_call(
-                    replicas, "store.get_tuples",
-                    {"relation": relation, "tuple_ids": [tid]}, 48,
-                    accept, on_exhausted=exhausted,
-                )
-                continue
-
-            def attempt(index: int, tid=tid, replicas=replicas) -> None:
-                if context.phase != phase:
-                    return  # recovery superseded this attempt's chases
-                if index >= len(replicas):
-                    self.rpc.cast(
-                        context.initiator(), "query.scan_failed",
-                        {"query_id": context.query_id, "tuple_id": tid}, 24,
-                    )
-                    context.end_scan_fetch(scan_op_id)
+            def exhausted(tid=tid) -> None:
+                if superseded():
                     return
-
-                def handle(reply: Mapping[str, object]) -> None:
-                    if context.phase != phase:
-                        return
-                    fetched = [t for t in reply.get("tuples", []) if t.tuple_id == tid]
-                    if fetched:
-                        self.storage.store_tuple(fetched[0])
-                        source.deliver_tuples(fetched)
-                        context.end_scan_fetch(scan_op_id)
-                    else:
-                        attempt(index + 1)
-
-                self.rpc.call(
-                    replicas[index], "store.get_tuples",
-                    {"relation": relation, "tuple_ids": [tid]}, 48,
-                    on_reply=handle,
-                    on_failure=lambda _addr: attempt(index + 1),
+                self.rpc.cast(
+                    context.initiator(), "query.scan_failed",
+                    {"query_id": context.query_id, "tuple_id": tid}, 24,
                 )
+                context.end_scan_fetch(scan_op_id)
 
-            attempt(0)
+            chase(
+                self.node,
+                search_targets(context.snapshot, tid.hash_key, self.replication_factor,
+                               exclude=(self.node.address,)),
+                "store.get_tuples", {"relation": relation, "tuple_ids": [tid]}, 48,
+                accept, on_exhausted=exhausted, superseded=superseded,
+            )
 
     def _on_scan_failed(self, _src: str, payload: Mapping[str, object], _respond) -> None:
         """A participant could not produce a leaf page from any replica.

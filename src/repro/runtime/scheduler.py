@@ -31,7 +31,6 @@ from ..net.simnet import Network
 from .futures import (
     PENDING,
     QUEUED,
-    RUNNING,
     AdmissionRejectedError,
     DeadlineExceededError,
     OpFuture,
@@ -596,9 +595,3 @@ class Scheduler:
     def in_flight(self) -> int:
         return len(self._running)
 
-    @property
-    def queue_depth(self) -> int:
-        return self.stats.queued
-
-    def running_ops(self) -> list[OpFuture]:
-        return [f for f in self._running if f.state == RUNNING]

@@ -112,6 +112,73 @@ def search_targets(
     return ordered
 
 
+def chase(
+    node: SimNode,
+    targets: Sequence[str],
+    method: str,
+    payload: Mapping[str, object],
+    size: int,
+    accept: Callable[[str, Mapping[str, object]], bool],
+    on_exhausted: Callable[[], None],
+    superseded: Callable[[], bool] | None = None,
+) -> None:
+    """Ask ``targets`` for an idempotent read until ``accept`` takes a reply.
+
+    The one replica search behind every "fetch what this node lacks" path
+    (:func:`search_targets` supplies the candidates): a replica answering
+    "not here" says nothing about the others, so ``accept(src, reply)``
+    returns False to send the search on, exactly like a failed call.
+    ``on_exhausted`` fires once when no candidate is left.
+
+    With the node's resilience layer installed this is
+    :meth:`~repro.resilience.NodeResilience.chase_call` (health-ranked,
+    hedged, adaptively timed).  Without it the targets are walked strictly
+    in order, one call at a time.  ``superseded`` is checked by that walk
+    before each step and ends it silently once it returns True; the
+    resilience layer's chase ignores it, so ``accept`` and ``on_exhausted``
+    must check for supersession themselves.
+    """
+    resilience = node.services.get("resilience")
+    if resilience is not None:
+        resilience.chase_call(targets, method, payload, size, accept, on_exhausted)
+        return
+    rpc = rpc_endpoint(node)
+
+    def attempt(index: int) -> None:
+        if superseded is not None and superseded():
+            return
+        if index >= len(targets):
+            on_exhausted()
+            return
+        target = targets[index]
+        rpc.call(
+            target, method, payload, size,
+            on_reply=lambda reply: accept(target, reply) or attempt(index + 1),
+            on_failure=lambda _addr: attempt(index + 1),
+        )
+
+    attempt(0)
+
+
+def owner_router(
+    node: SimNode, snapshot: RoutingSnapshot, replication_factor: int
+) -> Callable[[int], str]:
+    """Map a key to the node its request is sent to; build once per batch.
+
+    Without a resilience layer that is the key's owner under ``snapshot``.
+    With one, any replica can serve the request (the handlers chase what
+    they lack), so suspected replicas are routed around; with every replica
+    healthy that is the owner too, since a replica set starts with its
+    owner.
+    """
+    resilience = node.services.get("resilience")
+    if resilience is None:
+        return lambda key: physical_address(snapshot.owner_of(key))
+    return lambda key: resilience.select_target(
+        replica_set(snapshot, key, replication_factor)
+    )
+
+
 class _Completion:
     """Counts outstanding sub-operations and fires a callback when all finish."""
 
@@ -278,44 +345,21 @@ class StorageClient:
         outstanding = {"count": len(primary)}
         resilience = self.node.services.get("resilience")
 
-        def extend(index: int) -> None:
-            if index >= len(rest):
-                on_epochs(set(epochs))
-                return
-
-            def handle(reply: Mapping[str, object]) -> None:
-                if reply.get("missing"):
-                    extend(index + 1)
-                    return
-                epochs.update(reply["epochs"])
-                on_epochs(set(epochs))
-
-            self.rpc.call(
-                rest[index], "store.get_catalog", {"relation": relation}, 24,
-                on_reply=handle,
-                on_failure=lambda _addr: extend(index + 1),
-            )
-
-        def extend_resilient() -> None:
-            def accept(_src: str, reply: Mapping[str, object]) -> bool:
-                if reply.get("missing"):
-                    return False
-                epochs.update(reply["epochs"])
-                on_epochs(set(epochs))
-                return True
-
-            resilience.chase_call(
-                rest, "store.get_catalog", {"relation": relation}, 24,
-                accept, on_exhausted=lambda: on_epochs(set(epochs)),
-            )
+        def accept(_src: str, reply: Mapping[str, object]) -> bool:
+            if reply.get("missing"):
+                return False
+            epochs.update(reply["epochs"])
+            on_epochs(set(epochs))
+            return True
 
         def conclude() -> None:
             if epochs:
                 on_epochs(set(epochs))
-            elif resilience is not None:
-                extend_resilient()
-            else:
-                extend(0)
+                return
+            chase(
+                self.node, rest, "store.get_catalog", {"relation": relation}, 24,
+                accept, on_exhausted=lambda: on_epochs(set(epochs)),
+            )
 
         def answered(reply: Mapping[str, object]) -> None:
             if not reply.get("missing"):
@@ -404,34 +448,14 @@ class StorageClient:
             on_error(RelationNotFoundError(
                 f"coordinator record for {relation!r}@{epoch} not found on any replica"))
 
-        resilience = self.node.services.get("resilience")
-        if resilience is not None:
-            # Health-ranked, hedged, adaptively timed — the coordinator fetch
-            # is an idempotent read, so a second in-flight attempt is safe.
-            resilience.chase_call(
-                targets, "store.get_coordinator",
-                {"relation": relation, "epoch": epoch}, 32,
-                accept=lambda _src, rep: (
-                    False if rep.get("missing") else (deliver(rep["record"]) or True)
-                ),
-                on_exhausted=not_found,
-            )
-            return
-
-        def attempt(index: int) -> None:
-            if index >= len(targets):
-                not_found()
-                return
-            self.rpc.call(
-                targets[index],
-                "store.get_coordinator",
-                {"relation": relation, "epoch": epoch},
-                32,
-                on_reply=lambda rep: deliver(rep["record"]) if not rep.get("missing") else attempt(index + 1),
-                on_failure=lambda _addr: attempt(index + 1),
-            )
-
-        attempt(0)
+        chase(
+            self.node, targets, "store.get_coordinator",
+            {"relation": relation, "epoch": epoch}, 32,
+            accept=lambda _src, rep: (
+                False if rep.get("missing") else (deliver(rep["record"]) or True)
+            ),
+            on_exhausted=not_found,
+        )
 
     # ----------------------------------------------- retrieve message handlers
 
@@ -572,33 +596,17 @@ class _PublishOperation:
             self.snapshot, ref.storage_key, self.client.replication_factor,
             exclude=(self.client.node.address,),
         )
-        resilience = self.client.node.services.get("resilience")
-        if resilience is not None:
-            resilience.chase_call(
-                targets, "store.get_page", {"page_id": ref.page_id}, 32,
-                accept=lambda _src, rep: (
-                    False if rep.get("missing")
-                    else (self._store_previous_page(ref, rep, completion) or True)
-                ),
-                on_exhausted=completion.done,
-            )
-            return
-
-        def attempt(index: int) -> None:
-            if index >= len(targets):
-                # No live node holds the page: its tuples are unrecoverable
-                # (the failure exceeded the replication factor).  Publishing
-                # proceeds with an empty base rather than deadlocking.
-                completion.done()
-                return
-            self.client.rpc.call(
-                targets[index], "store.get_page", {"page_id": ref.page_id}, 32,
-                on_reply=lambda rep: self._store_previous_page(ref, rep, completion)
-                if not rep.get("missing") else attempt(index + 1),
-                on_failure=lambda _addr: attempt(index + 1),
-            )
-
-        attempt(0)
+        # When no live node holds the page its tuples are unrecoverable (the
+        # failure exceeded the replication factor): publishing proceeds with
+        # an empty base rather than deadlocking.
+        chase(
+            self.client.node, targets, "store.get_page", {"page_id": ref.page_id}, 32,
+            accept=lambda _src, rep: (
+                False if rep.get("missing")
+                else (self._store_previous_page(ref, rep, completion) or True)
+            ),
+            on_exhausted=completion.done,
+        )
 
     def _store_previous_page(self, ref: PageRef, reply: Mapping[str, object], completion: _Completion) -> None:
         self._previous_pages[ref.page_id] = reply["page"]
@@ -1071,22 +1079,10 @@ class _RetrieveOperation:
             + pushdown.predicate_wire_size(self.predicate)
             + (self.projection.estimated_size() if self.projection is not None else 0)
         )
-        resilience = self.client.node.services.get("resilience")
+        route = owner_router(self.client.node, self.snapshot, self.client.replication_factor)
         for ref in remote_refs:
-            if resilience is None:
-                index_node = physical_address(self.snapshot.owner_of(ref.storage_key))
-            else:
-                # Any page replica can run the index scan (the handler falls
-                # back to its own replica chase when it lacks the page), so
-                # route around suspected owners; all-healthy picks the
-                # primary owner, matching the resilience-off routing.
-                index_node = resilience.select_target(
-                    replica_set(
-                        self.snapshot, ref.storage_key, self.client.replication_factor
-                    )
-                )
             self.client.rpc.cast(
-                index_node,
+                route(ref.storage_key),
                 "store.retrieve_page",
                 {
                     "request_id": self.request_id,
@@ -1239,59 +1235,30 @@ def register_retrieve_handlers(service: StorageService, replication_factor: int 
         recovered: list[VersionedTuple] = []
         still_missing: list[TupleId] = []
         pending = _CompletionCounter(len(missing), lambda: send_result(recovered, still_missing))
-        resilience = node.services.get("resilience")
         for tid in missing:
-            replicas = search_targets(
-                snapshot, tid.hash_key, replication_factor, exclude=(node.address,)
+
+            def accept(_src, reply, tid=tid) -> bool:
+                fetched_tuples = [
+                    t for t in reply.get("tuples", []) if t.tuple_id == tid
+                ]
+                if not fetched_tuples:
+                    return False
+                service.store_tuple(fetched_tuples[0])
+                recovered.append(fetched_tuples[0])
+                pending.done()
+                return True
+
+            def exhausted(tid=tid) -> None:
+                still_missing.append(tid)
+                pending.done()
+
+            chase(
+                node,
+                search_targets(snapshot, tid.hash_key, replication_factor,
+                               exclude=(node.address,)),
+                "store.get_tuples", {"relation": relation, "tuple_ids": [tid]}, 48,
+                accept, on_exhausted=exhausted,
             )
-
-            if resilience is not None:
-
-                def accept(_src, reply, tid=tid) -> bool:
-                    fetched_tuples = [
-                        t for t in reply.get("tuples", []) if t.tuple_id == tid
-                    ]
-                    if not fetched_tuples:
-                        return False
-                    service.store_tuple(fetched_tuples[0])
-                    recovered.append(fetched_tuples[0])
-                    pending.done()
-                    return True
-
-                def exhausted(tid=tid) -> None:
-                    still_missing.append(tid)
-                    pending.done()
-
-                resilience.chase_call(
-                    replicas, "store.get_tuples",
-                    {"relation": relation, "tuple_ids": [tid]}, 48,
-                    accept, on_exhausted=exhausted,
-                )
-                continue
-
-            def attempt(index: int, tid=tid, replicas=replicas) -> None:
-                if index >= len(replicas):
-                    still_missing.append(tid)
-                    pending.done()
-                    return
-
-                def handle(reply: Mapping[str, object]) -> None:
-                    fetched_tuples = [t for t in reply.get("tuples", []) if t.tuple_id == tid]
-                    if fetched_tuples:
-                        service.store_tuple(fetched_tuples[0])
-                        recovered.append(fetched_tuples[0])
-                        pending.done()
-                    else:
-                        attempt(index + 1)
-
-                rpc.call(
-                    replicas[index], "store.get_tuples",
-                    {"relation": relation, "tuple_ids": [tid]}, 48,
-                    on_reply=handle,
-                    on_failure=lambda _addr: attempt(index + 1),
-                )
-
-            attempt(0)
 
     def on_retrieve_page(_src: str, payload: Mapping[str, object], _respond) -> None:
         snapshot: RoutingSnapshot = payload["snapshot"]
@@ -1316,21 +1283,10 @@ def register_retrieve_handlers(service: StorageService, replication_factor: int 
                 matching = list(page.tuple_ids)
             else:
                 matching = [tid for tid in page.tuple_ids if predicate(tid.key_values)]
-            resilience = node.services.get("resilience")
+            route = owner_router(node, snapshot, replication_factor)
             by_data_node: dict[str, list[TupleId]] = {}
             for tid in matching:
-                if resilience is None:
-                    owner = physical_address(snapshot.owner_of(tid.hash_key))
-                else:
-                    # Any replica can serve the tuple request (the handler
-                    # recovers misses from its own replica chase), so prefer
-                    # a healthy one; with every replica healthy this picks
-                    # the primary owner, unchanged from the resilience-off
-                    # routing.
-                    owner = resilience.select_target(
-                        replica_set(snapshot, tid.hash_key, replication_factor)
-                    )
-                by_data_node.setdefault(owner, []).append(tid)
+                by_data_node.setdefault(route(tid.hash_key), []).append(tid)
             rpc.cast(requester, "store.retrieve_manifest",
                      {"request_id": request_id, "page_id": ref.page_id,
                       "data_requests": len(by_data_node)}, 48)
@@ -1361,37 +1317,20 @@ def register_retrieve_handlers(service: StorageService, replication_factor: int 
         # crashed one — after membership churn the page may sit on any node
         # of the snapshot, and the first candidate answering "not here" says
         # nothing about the others.
-        targets = search_targets(
-            snapshot, ref.storage_key, replication_factor, exclude=(node.address,)
-        )
-
-        def attempt(index: int) -> None:
-            if index >= len(targets):
-                page_unavailable()
-                return
-            rpc.call(
-                targets[index], "store.get_page", {"page_id": ref.page_id}, 32,
-                on_reply=lambda reply: fetched(reply)
-                if not reply.get("missing") else attempt(index + 1),
-                on_failure=lambda _addr: attempt(index + 1),
-            )
-
         def fetched(reply: Mapping[str, object]) -> None:
             service.store_page(reply["page"])
             scan_page(reply["page"])
 
-        resilience = node.services.get("resilience")
-        if resilience is not None:
-            resilience.chase_call(
-                targets, "store.get_page", {"page_id": ref.page_id}, 32,
-                accept=lambda _src, reply: (
-                    False if reply.get("missing") else (fetched(reply) or True)
-                ),
-                on_exhausted=page_unavailable,
-            )
-            return
-
-        attempt(0)
+        chase(
+            node,
+            search_targets(snapshot, ref.storage_key, replication_factor,
+                           exclude=(node.address,)),
+            "store.get_page", {"page_id": ref.page_id}, 32,
+            accept=lambda _src, reply: (
+                False if reply.get("missing") else (fetched(reply) or True)
+            ),
+            on_exhausted=page_unavailable,
+        )
 
     rpc.register("store.retrieve_page", on_retrieve_page)
     rpc.register("store.retrieve_tuples", on_retrieve_tuples)

@@ -10,6 +10,7 @@ import pytest
 from repro.cluster import Cluster, build_cluster
 from repro.common.errors import RelationNotFoundError, EpochNotFoundError
 from repro.common.types import RelationData, Schema
+from repro.overlay.replication import replica_set
 from repro.storage.client import UpdateBatch
 
 
@@ -265,3 +266,40 @@ class TestFailureTolerance:
         after_retrieve = cluster.traffic_snapshot()
         assert before.delta(after_publish).total_bytes > 0
         assert after_publish.delta(after_retrieve).total_bytes > 0
+
+
+class TestReplicaChase:
+    """Several tuple versions missing from their owner *and* first replica.
+
+    Each missing version is chased separately across the remaining search
+    targets; every chase must keep asking for its own tuple, so the answer
+    holds every row exactly once.
+    """
+
+    ROWS = [(f"k{i}", i) for i in range(150)]
+
+    def cluster_missing_tuples(self, count=3):
+        cluster = Cluster(5, replication_factor=3)
+        data = relation_r(self.ROWS)
+        cluster.publish(data)
+        snapshot = cluster.snapshot()
+        by_owner = {}
+        for values in data.rows:
+            tid = data.schema.tuple_id_for(values, 1)
+            by_owner.setdefault(snapshot.owner_of(tid.hash_key), []).append(tid)
+        tids = max(by_owner.values(), key=len)[:count]
+        assert len(tids) == count
+        holders = replica_set(snapshot, tids[0].hash_key, 3)[:2]
+        for address in holders:
+            for tid in tids:
+                key = ("R", tid.hash_key, tid)
+                assert cluster.node(address).storage.store.delete("tuples", key)
+        return cluster
+
+    def test_retrieve_returns_every_row_once(self):
+        cluster = self.cluster_missing_tuples()
+        assert sorted(cluster.retrieve("R").rows()) == sorted(self.ROWS)
+
+    def test_query_returns_every_row_once(self):
+        cluster = self.cluster_missing_tuples()
+        assert sorted(cluster.query("SELECT x, y FROM R").rows) == sorted(self.ROWS)
